@@ -10,7 +10,7 @@ of them for the drift/health detectors.
 The ingest path is designed to sit on the serving hot path:
 
 - records are plain ``__slots__`` objects, built in one vectorized pass
-  per served batch (see ``ModelServer._emit_telemetry``);
+  per served batch (see :func:`repro.serve.server.emit_batch_telemetry`);
 - :meth:`TelemetryStore.extend` takes a whole batch under a single lock
   acquisition, so the per-record cost is one ``deque.append`` on a
   bounded ring (no allocation growth, no copying);

@@ -1,30 +1,27 @@
-"""Cross-process sharded serving: shard workers as worker *processes*.
+"""Cross-process sharded serving: shard batches run in worker *processes*.
 
-:class:`ProcessShardedModelServer` keeps the topology of
-:class:`repro.serve.shard.ShardedModelServer` — crc32-stable placement
-of ``(project, precision, engine)`` keys across N shards, admission-time
-validation in the caller's thread, queue gulps turned into few big
-batched invokes — but each shard's execution happens in a **worker
-process** (:mod:`repro.core.workers`), so invokes run on real cores
-instead of time-slicing one GIL.
+:class:`ProcessShardedModelServer` is :class:`repro.serve.shard.
+ShardedModelServer` with a different batch executor.  Placement (crc32
+of ``(project, precision, engine)``), the shard queue and pump, the
+``max_batch`` chunking, the row-count guard and the snapshot totals are
+all inherited; only two things differ:
 
-Division of labour per shard:
+- *admission* resolves a parent-side :class:`_ProcEntry` (feature shape,
+  labels, serialized graph) instead of compiling the model in-process;
+- each shard's :meth:`_ProcessShard._run` drives a **worker process**
+  (:mod:`repro.core.workers`) over the frame protocol: one
+  ``load_model`` per model per worker lifetime (the serialized graph is
+  rehydrated and re-verified in the worker), then one ``classify`` frame
+  per batch, so invokes run on real cores instead of time-slicing one
+  GIL.
 
-- the *pump thread* (parent side) drains the shard queue in gulps,
-  groups tickets by admitted model, and drives the worker over the frame
-  protocol: one ``load_model`` per model per worker lifetime (the
-  serialized graph is rehydrated and re-verified in the worker), then
-  one ``classify`` frame per group chunk;
-- the *worker process* compiles plans from the serialized graphs and
-  returns raw probability rows — results are bit-identical to the
-  in-process servers because both sides execute the same compiled plan
-  on the same stacked rows;
-- crash semantics: the handle's heartbeat + receiver detect a dead
-  worker; every in-flight ticket resolves with a clean
-  :class:`ServingError` (callers never hang), the pump respawns the
-  worker, reloads models lazily, and the next request succeeds.
+Results are bit-identical to the in-process servers because both sides
+execute the same compiled plan on the same stacked rows.  Crash
+semantics: the handle's heartbeat + receiver detect a dead worker; the
+batch in flight fails with a clean :class:`ServingError` (callers never
+hang), the next batch respawns the worker and reloads models lazily.
 
-Telemetry stays parent-side (the pump holds rows + probabilities), so
+Telemetry stays parent-side (``_run`` holds rows + probabilities), so
 ``Platform(serving_backend="process")`` monitors exactly like the
 threaded tiers.
 """
@@ -33,23 +30,23 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
-from collections import OrderedDict, deque
-from types import SimpleNamespace
+from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.workers.client import WorkerDied, WorkerError, WorkerHandle
+from repro.core.workers.client import WorkerDied, WorkerHandle
 from repro.core.workers.frames import pack_array, unpack_array
 from repro.graph.serialize import graph_to_bytes
 from repro.serve.server import (
-    ENGINES,
-    PRECISIONS,
-    ModelNotTrainedError,
     ServingError,
-    emit_batch_telemetry,
+    ServingStats,
+    coerce_features,
+    emit_served_telemetry,
+    labels_of,
+    served_graph,
+    to_result,
 )
-from repro.serve.shard import _ShardTicket
+from repro.serve.shard import ShardedModelServer, _Shard, _ShardTicket
 
 
 class _ProcEntry:
@@ -77,90 +74,50 @@ class _ProcEntry:
         self.loaded_session = 0  # 0 == loaded nowhere yet
 
 
-class _ProcessShard:
-    """One shard: a request queue, a pump thread, a worker process."""
+class _ProcessShard(_Shard):
+    """A shard whose batches execute in its own worker process."""
 
-    def __init__(self, platform, index: int, max_queue: int, passes: object,
-                 heartbeat_s: float, heartbeat_timeout_s: float,
-                 request_timeout_s: float, name: str):
+    join_timeout_s = 5.0
+
+    def __init__(self, platform, index: int, max_queue: int, max_batch: int,
+                 passes: object, heartbeat_s: float, heartbeat_timeout_s: float,
+                 request_timeout_s: float):
+        super().__init__(None, index, max_queue, max_batch)
         self.platform = platform
-        self.index = index
-        self.max_queue = max_queue
+        self.name = f"proc-shard-{index}"
         self.passes = "default" if passes == "default" else None
         self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.request_timeout_s = request_timeout_s
-        self.name = name
         self.telemetry = None  # optional repro.monitor TelemetryStore
-        self._queue: deque[_ShardTicket] = deque()  # guarded-by: _cond
-        self._cond = threading.Condition()
-        self._thread: threading.Thread | None = None
-        self._stop = False  # guarded-by: _cond
-        # Counters (pump-written, snapshot-read — all under _cond).
-        self.requests = 0  # guarded-by: _cond
-        self.batches = 0  # guarded-by: _cond
-        self.batched_requests = 0  # guarded-by: _cond
-        self.largest_batch = 0  # guarded-by: _cond
-        self.batch_errors = 0  # guarded-by: _cond
-        self.drains = 0  # guarded-by: _cond
-        self.grouped_batches = 0  # guarded-by: _cond
-        self.restarts = 0  # guarded-by: _cond
         self.telemetry_errors = 0  # guarded-by: _cond
+        self.restarts = 0  # guarded-by: _cond
         # Worker interaction (spawn / load / classify) is serialized by
         # _io_lock; never take _io_lock while holding _cond.
         self._io_lock = threading.Lock()
         self._handle: WorkerHandle | None = None  # guarded-by: _io_lock
         self._session = 0  # guarded-by: _io_lock (worker incarnation)
 
-    # -- queueing (identical contract to the threaded _Shard) --------------
-
-    def enqueue(self, ticket: _ShardTicket) -> None:
-        with self._cond:
-            if self._stop:
-                raise ServingError(f"shard {self.index} is shut down")
-            if len(self._queue) >= self.max_queue:
-                raise ServingError(
-                    f"shard {self.index} queue full ({self.max_queue} requests)"
-                )
-            self._queue.append(ticket)
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._pump, name=f"proc-shard-{self.index}",
-                    daemon=True,
-                )
-                self._thread.start()
-            self._cond.notify()
-
-    def _pump(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue:
-                    if self._stop:
-                        return
-                    self._cond.wait()
-                gulp = list(self._queue)
-                self._queue.clear()
-                self.drains += 1
-            with self._io_lock:
-                self._execute_io_locked(gulp)
-
     # -- worker lifecycle (call with _io_lock held) ------------------------
 
     def _ensure_worker_io_locked(self) -> WorkerHandle:
-        if self._handle is None or not self._handle.alive:
-            replacing = self._handle is not None
-            if replacing:
-                self._handle.close()
+        if self._handle is not None and not self._handle.alive:
+            self._drop_worker_io_locked()
+        if self._handle is None:
             self._handle = WorkerHandle(
                 name=self.name,
                 heartbeat_s=self.heartbeat_s,
                 heartbeat_timeout_s=self.heartbeat_timeout_s,
             )
             self._session += 1
-            if replacing:
-                with self._cond:
-                    self.restarts += 1
         return self._handle
+
+    def _drop_worker_io_locked(self) -> None:
+        """Close a dead (or untrusted) worker; the next batch respawns it."""
+        self._handle.close()
+        self._handle = None
+        with self._cond:
+            self.restarts += 1
 
     def _ensure_loaded_io_locked(self, handle: WorkerHandle,
                                  entry: _ProcEntry) -> None:
@@ -183,104 +140,41 @@ class _ProcessShard:
 
     # -- execution ---------------------------------------------------------
 
-    def _execute_io_locked(self, gulp: list[_ShardTicket]) -> None:
-        groups: dict[int, list[_ShardTicket]] = {}
-        for ticket in gulp:
-            groups.setdefault(id(ticket.entry), []).append(ticket)
-        for tickets in groups.values():
-            entry: _ProcEntry = tickets[0].entry
-            start = time.perf_counter()
+    def _run(self, project_id: int, entry: _ProcEntry, rows) -> list[dict]:
+        start = time.perf_counter()
+        with self._io_lock:
             try:
                 handle = self._ensure_worker_io_locked()
                 self._ensure_loaded_io_locked(handle, entry)
-                rows = np.stack([t.features for t in tickets])
-                spec, blob = pack_array(rows)
+                spec, blob = pack_array(np.stack(rows))
                 result, out_blobs = handle.request(
                     "classify", {"model_id": entry.model_id, "rows": spec},
                     (blob,), timeout=self.request_timeout_s,
                 )
                 probs = unpack_array(result["probs"], out_blobs[0])
             except WorkerDied as exc:
-                # The worker (or its spawn) is gone: fail this group
-                # cleanly and drop the handle so the next group — or the
-                # next gulp — gets a fresh process.
-                self._fail_group(tickets, ServingError(
+                if self._handle is not None:  # None when the spawn itself failed
+                    self._drop_worker_io_locked()
+                raise ServingError(
                     f"shard {self.index} worker process died mid-request "
                     f"({exc}); it will be respawned"
-                ))
-                if self._handle is not None:
-                    self._handle.close()
-                    self._handle = None
-                    with self._cond:
-                        self.restarts += 1
-                continue
-            except (WorkerError, ValueError, OSError) as exc:
-                self._fail_group(tickets, ServingError(
-                    f"shard {self.index} worker rejected the batch: {exc}"
-                ))
-                continue
-            if len(probs) != len(tickets):
-                # Same result-contract guard as the in-process batcher.
-                self._fail_group(tickets, ServingError(
-                    f"shard {self.index} worker returned {len(probs)} "
-                    f"result row(s) for a batch of {len(tickets)} request(s)"
-                ))
-                continue
-            with self._cond:
-                self.grouped_batches += 1
-                self.batches += 1
-                self.batched_requests += len(tickets)
-                self.largest_batch = max(self.largest_batch, len(tickets))
-                self.requests += len(tickets)
-            labels = entry.labels
-            for ticket, prow in zip(tickets, probs):
-                classification = {l: float(p) for l, p in zip(labels, prow)}
-                top = (
-                    max(classification, key=classification.get)
-                    if classification else None
-                )
-                ticket.resolve(result={"classification": classification,
-                                       "top": top})
-            telemetry = self.telemetry
-            if telemetry is not None:
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                try:
-                    emit_batch_telemetry(
-                        telemetry, self.platform, entry.key[0], labels,
-                        list(rows), list(probs),
-                        elapsed_ms / max(len(tickets), 1), source=self.name,
-                    )
-                except Exception:  # noqa: BLE001 - monitoring never breaks serving
-                    with self._cond:
-                        self.telemetry_errors += 1
-
-    def _fail_group(self, tickets: list[_ShardTicket], exc: Exception) -> None:
-        for ticket in tickets:
-            ticket.resolve(error=exc)
-        with self._cond:
-            self.batch_errors += 1
-            self.requests += len(tickets)
+                ) from exc
+            except Exception as exc:  # noqa: BLE001 - a handler error or a malformed reply
+                raise ServingError(
+                    f"shard {self.index} worker rejected the batch: {exc!r}"
+                ) from exc
+        emit_served_telemetry(
+            self, self._cond, project_id, entry.labels, rows, probs, start
+        )
+        return [to_result(entry.labels, p) for p in probs]
 
     # -- observability / lifecycle -----------------------------------------
 
     def counters(self) -> dict:
+        snap = {"name": self.name, **super().counters()}
         with self._cond:
-            snap = {
-                "name": self.name,
-                "requests": self.requests,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "largest_batch": self.largest_batch,
-                "batch_errors": self.batch_errors,
-                "drains": self.drains,
-                "grouped_batches": self.grouped_batches,
-                "restarts": self.restarts,
-                "telemetry_errors": self.telemetry_errors,
-                "queue_depth": len(self._queue),
-                "mean_batch_size": (
-                    self.batched_requests / self.batches if self.batches else 0.0
-                ),
-            }
+            snap["restarts"] = self.restarts
+            snap["telemetry_errors"] = self.telemetry_errors
         with self._io_lock:
             snap["worker_pid"] = (
                 self._handle.pid if self._handle is not None else None
@@ -291,29 +185,21 @@ class _ProcessShard:
         return snap
 
     def stop(self) -> None:
-        with self._cond:
-            self._stop = True
-            leftovers = list(self._queue)
-            self._queue.clear()
-            self._cond.notify_all()
-        for ticket in leftovers:
-            ticket.resolve(error=ServingError(f"shard {self.index} shut down"))
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        super().stop()
         with self._io_lock:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
 
 
-class ProcessShardedModelServer:
+class ProcessShardedModelServer(ShardedModelServer):
     """N-worker-*process* serving behind the ShardedModelServer surface.
 
-    Public surface mirrors :class:`repro.serve.shard.ShardedModelServer`
-    (``submit``/``classify``/``classify_batch``/``get_model``/
-    ``invalidate``/``snapshot``/``close``, crc32 placement), so the
-    platform, gateway routes, and CLI can swap tiers via
-    ``Platform(serving_backend="process")`` without other changes.
+    Inherits placement, ``classify``/``classify_batch``, the snapshot
+    totals and the lifecycle, so the platform, gateway routes, and CLI
+    can swap tiers via ``Platform(serving_backend="process")`` without
+    other changes.  Admission keeps one LRU of :class:`_ProcEntry` of
+    ``cache_size * workers`` models (the workers keep their own LRU).
     """
 
     backend = "process"
@@ -330,41 +216,32 @@ class ProcessShardedModelServer:
         heartbeat_timeout_s: float = 15.0,
         request_timeout_s: float = 120.0,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.platform = platform
-        self.workers = workers
         self.cache_size = cache_size
-        self.max_batch = max_batch
-        self.shards = [
-            _ProcessShard(
-                platform, index=i, max_queue=max_queue, passes=passes,
-                heartbeat_s=heartbeat_s,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-                request_timeout_s=request_timeout_s,
-                name=f"proc-shard-{i}",
-            )
-            for i in range(workers)
-        ]
-        # Admission entries: parent-side metadata + serialized graphs,
-        # LRU-bounded per server (the worker side has its own LRU).
+        self._worker_options = {
+            "heartbeat_s": heartbeat_s,
+            "heartbeat_timeout_s": heartbeat_timeout_s,
+            "request_timeout_s": request_timeout_s,
+        }
+        super().__init__(platform, workers, cache_size, max_batch, max_queue, passes)
         self._entries: OrderedDict[tuple, _ProcEntry] = OrderedDict()  # guarded-by: _lock
+        self._stats = [ServingStats() for _ in self.shards]  # guarded-by: _lock
         self._next_model_id = 1  # guarded-by: _lock
         self._lock = threading.Lock()
 
-    @classmethod
-    def for_project(cls, project, **kwargs) -> "ProcessShardedModelServer":
-        """A standalone process-sharded server over one project."""
-        registry = SimpleNamespace(projects={project.project_id: project})
-        return cls(registry, **kwargs)
+    def _new_shard(self, index: int, cache_size: int, max_batch: int,
+                   max_queue: int, passes: object) -> _ProcessShard:
+        return _ProcessShard(
+            self.platform, index=index, max_queue=max_queue,
+            max_batch=max_batch, passes=passes, **self._worker_options,
+        )
 
     # -- monitoring sink ---------------------------------------------------
 
     @property
     def telemetry(self):
-        """The monitoring sink; assigning propagates to every shard's
-        pump, which emits parent-side (probabilities never leave the
-        parent un-monitored just because the invoke ran elsewhere)."""
+        """The monitoring sink; assigning propagates to every shard,
+        which emits parent-side (probabilities never leave the parent
+        un-monitored just because the invoke ran elsewhere)."""
         return self.shards[0].telemetry
 
     @telemetry.setter
@@ -372,66 +249,32 @@ class ProcessShardedModelServer:
         for shard in self.shards:
             shard.telemetry = store
 
-    # -- routing -----------------------------------------------------------
-
-    def shard_index(self, project_id: int, precision: str, engine: str) -> int:
-        """Same stable crc32 placement as the threaded sharded tier."""
-        key = f"{project_id}|{precision}|{engine}".encode()
-        return zlib.crc32(key) % self.workers
-
-    def shard_for(self, project_id: int, precision: str, engine: str) -> _ProcessShard:
-        return self.shards[self.shard_index(project_id, precision, engine)]
-
     # -- admission ---------------------------------------------------------
 
-    def _admit(self, project_id: int, precision: str, engine: str) -> _ProcEntry:
+    def _admit(self, shard: _ProcessShard, key: tuple) -> _ProcEntry:
         """Resolve (or build) the admission entry for a model key.
 
-        Raises ``KeyError`` for unknown projects and ``ServingError`` /
-        ``ModelNotTrainedError`` exactly like ``ModelServer.get_model``.
+        Raises like :func:`repro.serve.server.served_graph`; hits, misses
+        and evictions count against the owning shard's row.
         """
-        if precision not in PRECISIONS:
-            raise ServingError(
-                f"unknown precision {precision!r}; expected {PRECISIONS}"
-            )
-        if engine not in ENGINES:
-            raise ServingError(f"unknown engine {engine!r}; expected {ENGINES}")
-        project = self.platform.projects[project_id]
-        graph = project.int8_graph if precision == "int8" else project.float_graph
-        if graph is None:
-            raise ModelNotTrainedError(
-                f"project {project_id} has no trained {precision} model"
-            )
-        labels = [
-            l for l, _ in sorted(project.label_map.items(), key=lambda kv: kv[1])
-        ]
-        key = (project_id, precision, engine)
+        graph = served_graph(self.platform, *key)
         with self._lock:
+            stats = self._stats[shard.index]
             entry = self._entries.get(key)
             if entry is not None and entry.graph is graph:
+                stats.cache_hits += 1
                 self._entries.move_to_end(key)
                 return entry
+            stats.cache_misses += 1
+            labels = labels_of(self.platform.projects[key[0]])
             entry = _ProcEntry(key, graph, self._next_model_id, labels)
             self._next_model_id += 1
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.cache_size * self.workers:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
+                self._stats[self.shard_index(*evicted)].cache_evictions += 1
             return entry
-
-    def _coerce_features(self, entry: _ProcEntry, features) -> np.ndarray:
-        try:
-            arr = np.asarray(features, dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            raise ServingError(f"features are not numeric: {exc}")
-        if arr.size != entry.feature_size:
-            raise ServingError(
-                f"expected {entry.feature_size} features "
-                f"(shape {entry.feature_shape}), got {arr.size}"
-            )
-        return arr.reshape(entry.feature_shape)
-
-    # -- serving -----------------------------------------------------------
 
     def submit(
         self,
@@ -443,35 +286,10 @@ class ProcessShardedModelServer:
         """Admit one request onto its shard's queue; bad requests raise
         eagerly in the caller's thread, exactly like the threaded tier."""
         shard = self.shard_for(project_id, precision, engine)
-        entry = self._admit(project_id, precision, engine)
-        coerced = self._coerce_features(entry, features)
-        ticket = _ShardTicket((project_id, precision, engine), entry, coerced)
+        entry = self._admit(shard, (project_id, precision, engine))
+        ticket = _ShardTicket(entry.key, entry, coerce_features(entry, features))
         shard.enqueue(ticket)
         return ticket
-
-    def classify(
-        self,
-        project_id: int,
-        features,
-        precision: str = "int8",
-        engine: str = "eon",
-    ) -> dict:
-        return self.submit(project_id, features, precision, engine).value()
-
-    def classify_batch(
-        self,
-        project_id: int,
-        feature_rows,
-        precision: str = "int8",
-        engine: str = "eon",
-    ) -> list[dict]:
-        if not isinstance(feature_rows, (list, tuple)) or len(feature_rows) == 0:
-            raise ServingError("batch must be a non-empty list of feature rows")
-        tickets = [
-            self.submit(project_id, row, precision, engine)
-            for row in feature_rows
-        ]
-        return [t.value() for t in tickets]
 
     # -- cache management --------------------------------------------------
 
@@ -479,8 +297,9 @@ class ProcessShardedModelServer:
                   engine: str = "eon") -> _ProcEntry:
         """Resolve the admission entry **and** warm the model in its
         owning worker process (spawning it if needed)."""
-        entry = self._admit(project_id, precision, engine)
-        self.shard_for(project_id, precision, engine).warm(entry)
+        shard = self.shard_for(project_id, precision, engine)
+        entry = self._admit(shard, (project_id, precision, engine))
+        shard.warm(entry)
         return entry
 
     def invalidate(self, project_id: int | None = None) -> None:
@@ -496,40 +315,14 @@ class ProcessShardedModelServer:
 
     # -- observability -----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Aggregated counters plus the per-shard breakdown (the shape
-        the ``GET /v1/serving/stats`` route serves)."""
-        per_shard = [shard.counters() for shard in self.shards]
+    def _shard_stats(self, shard: _ProcessShard) -> dict:
+        snap = shard.counters()
         with self._lock:
-            placed = [self.shard_index(*key) for key in self._entries]
-        for idx, snap in enumerate(per_shard):
-            snap["cache_size"] = placed.count(idx)
-        summed = (
-            "requests", "batches", "batched_requests", "batch_errors",
-            "telemetry_errors", "restarts",
-        )
-        total = {k: sum(s[k] for s in per_shard) for k in summed}
-        total["mean_batch_size"] = (
-            total["batched_requests"] / total["batches"]
-            if total["batches"] else 0.0
-        )
-        with self._lock:
-            total["cache_size"] = len(self._entries)
-        total["workers"] = self.workers
-        total["backend"] = self.backend
-        total["per_shard"] = per_shard
-        return total
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop every pump and worker process (queued requests fail
-        cleanly; already-resolved tickets keep their results)."""
-        for shard in self.shards:
-            shard.stop()
-
-    def __enter__(self) -> "ProcessShardedModelServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            stats = self._stats[shard.index]
+            snap["cache_size"] = sum(
+                1 for key in self._entries if self.shard_index(*key) == shard.index
+            )
+            snap["cache_hits"] = stats.cache_hits
+            snap["cache_misses"] = stats.cache_misses
+            snap["cache_evictions"] = stats.cache_evictions
+        return snap

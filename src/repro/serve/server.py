@@ -8,9 +8,14 @@ serves classification requests from compiled models:
   cache keyed ``(project_id, precision, engine)``;
 - retraining is detected by graph identity, so a cache entry never
   serves a stale model;
-- requests go through a :class:`repro.serve.batcher.MicroBatcher` per
-  cached model, coalescing concurrent classify calls into one batched
-  invoke.
+- direct callers go through a :class:`repro.serve.batcher.MicroBatcher`
+  per cached model, coalescing concurrent classify calls into one
+  batched invoke; the shard pumps (:mod:`repro.serve.shard`) batch for
+  themselves and call :meth:`ModelServer.classify_coerced`.
+
+The admission helpers (:func:`served_graph`, :func:`coerce_features`,
+:func:`labels_of`, :func:`to_result`) and the telemetry emitters are
+module-level so every serving tier shares one definition of them.
 """
 
 from __future__ import annotations
@@ -66,6 +71,59 @@ class _CacheEntry:
     feature_shape: tuple[int, ...] = field(default_factory=tuple)
 
 
+# -- admission (shared by every tier) ---------------------------------------
+
+
+def served_graph(platform, project_id: int, precision: str, engine: str):
+    """The graph a ``(project, precision, engine)`` request is served from.
+
+    Raises ``KeyError`` for an unknown project (a missing resource),
+    :class:`ServingError` for bad parameters and
+    :class:`ModelNotTrainedError` for an untrained precision.
+    """
+    if precision not in PRECISIONS:
+        raise ServingError(f"unknown precision {precision!r}; expected {PRECISIONS}")
+    if engine not in ENGINES:
+        raise ServingError(f"unknown engine {engine!r}; expected {ENGINES}")
+    project = platform.projects[project_id]
+    graph = project.int8_graph if precision == "int8" else project.float_graph
+    if graph is None:
+        raise ModelNotTrainedError(
+            f"project {project_id} has no trained {precision} model"
+        )
+    return graph
+
+
+def coerce_features(entry, features) -> np.ndarray:
+    """Validate one feature window against an admitted entry's input
+    shape (``entry.feature_size`` / ``entry.feature_shape``)."""
+    try:
+        arr = np.asarray(features, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise ServingError(f"features are not numeric: {exc}")
+    if arr.size != entry.feature_size:
+        raise ServingError(
+            f"expected {entry.feature_size} features "
+            f"(shape {entry.feature_shape}), got {arr.size}"
+        )
+    return arr.reshape(entry.feature_shape)
+
+
+def labels_of(project) -> list[str]:
+    """Class labels in output-index order."""
+    return [l for l, _ in sorted(project.label_map.items(), key=lambda kv: kv[1])]
+
+
+def to_result(labels: list[str], probs) -> dict:
+    """One probability row -> ``{"classification", "top"}``."""
+    classification = {l: float(p) for l, p in zip(labels, probs)}
+    top = max(classification, key=classification.get) if classification else None
+    return {"classification": classification, "top": top}
+
+
+# -- telemetry ---------------------------------------------------------------
+
+
 def emit_batch_telemetry(
     telemetry, platform, project_id: int, labels: list[str],
     rows, probs_rows, latency_ms: float, source: str,
@@ -106,6 +164,28 @@ def emit_batch_telemetry(
         )
         for i in range(len(probs))
     ])
+
+
+def emit_served_telemetry(
+    owner, lock, project_id: int, labels: list[str], rows, probs, start: float,
+) -> None:
+    """Emit one served batch into ``owner.telemetry`` (a no-op when it is
+    None), with per-row latency measured from ``start``.  ``owner`` also
+    supplies ``platform`` and ``name``; a failing sink only ticks
+    ``owner.telemetry_errors`` under ``lock`` — monitoring never breaks
+    serving."""
+    telemetry = owner.telemetry
+    if telemetry is None:
+        return
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    try:
+        emit_batch_telemetry(
+            telemetry, owner.platform, project_id, labels, rows, probs,
+            elapsed_ms / max(len(rows), 1), source=owner.name,
+        )
+    except Exception:  # noqa: BLE001 - monitoring never breaks serving
+        with lock:
+            owner.telemetry_errors += 1
 
 
 class ModelServer:
@@ -152,20 +232,9 @@ class ModelServer:
     ) -> _CacheEntry:
         """Fetch (or compile and cache) the served model for a project.
 
-        Raises ``KeyError`` for an unknown project (a missing resource)
-        and :class:`ServingError` for bad parameters or untrained models.
+        Raises like :func:`served_graph`.
         """
-        if precision not in PRECISIONS:
-            raise ServingError(f"unknown precision {precision!r}; expected {PRECISIONS}")
-        if engine not in ENGINES:
-            raise ServingError(f"unknown engine {engine!r}; expected {ENGINES}")
-        project = self.platform.projects[project_id]
-        graph = project.int8_graph if precision == "int8" else project.float_graph
-        if graph is None:
-            raise ModelNotTrainedError(
-                f"project {project_id} has no trained {precision} model"
-            )
-
+        graph = served_graph(self.platform, project_id, precision, engine)
         key = (project_id, precision, engine)
         with self._lock:
             entry = self._cache.get(key)
@@ -182,14 +251,10 @@ class ModelServer:
                 if engine == "eon"
                 else TFLMInterpreter(graph)
             )
-
-            def run_batch(stacked: np.ndarray) -> np.ndarray:
-                return model.predict_proba(stacked)
-
             entry = _CacheEntry(
                 graph=graph,
                 model=model,
-                batcher=MicroBatcher(run_batch, max_batch=self.max_batch),
+                batcher=MicroBatcher(model.predict_proba, max_batch=self.max_batch),
                 feature_size=int(np.prod(graph.tensors[graph.input_id].shape)),
                 feature_shape=tuple(graph.tensors[graph.input_id].shape),
             )
@@ -222,27 +287,6 @@ class ModelServer:
 
     # -- classification ----------------------------------------------------
 
-    def _coerce_features(self, entry: _CacheEntry, features) -> np.ndarray:
-        try:
-            arr = np.asarray(features, dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            raise ServingError(f"features are not numeric: {exc}")
-        if arr.size != entry.feature_size:
-            raise ServingError(
-                f"expected {entry.feature_size} features "
-                f"(shape {entry.feature_shape}), got {arr.size}"
-            )
-        return arr.reshape(entry.feature_shape)
-
-    def _labels(self, project_id: int) -> list[str]:
-        label_map = self.platform.projects[project_id].label_map
-        return [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
-
-    def _to_result(self, labels: list[str], probs: np.ndarray) -> dict:
-        classification = {l: float(p) for l, p in zip(labels, probs)}
-        top = max(classification, key=classification.get) if classification else None
-        return {"classification": classification, "top": top}
-
     def classify(
         self,
         project_id: int,
@@ -253,10 +297,7 @@ class ModelServer:
         """Classify one feature window; returns ``{"classification",
         "top"}``.  Goes through the micro-batch queue, so concurrent
         callers share one batched invoke."""
-        entry = self.get_model(project_id, precision, engine)
-        return self.classify_coerced(
-            project_id, entry, [self._coerce_features(entry, features)]
-        )[0]
+        return self.classify_batch(project_id, [features], precision, engine)[0]
 
     def classify_batch(
         self,
@@ -271,40 +312,28 @@ class ModelServer:
         entry = self.get_model(project_id, precision, engine)
         # Validate every row before submitting any, so a malformed row
         # mid-batch cannot strand already-queued tickets.
-        coerced = [self._coerce_features(entry, row) for row in feature_rows]
-        return self.classify_coerced(project_id, entry, coerced)
-
-    def classify_coerced(self, project_id: int, entry: _CacheEntry, rows) -> list[dict]:
-        """Batch-classify rows already validated by ``_coerce_features``
-        against ``entry`` — the shard-worker hot path, which coerces at
-        admission time and must not pay for it twice."""
-        telemetry = self.telemetry
-        start = time.perf_counter() if telemetry is not None else 0.0
+        rows = [coerce_features(entry, row) for row in feature_rows]
+        start = time.perf_counter()
         tickets = [entry.batcher.submit(row) for row in rows]
-        results = [entry.batcher.wait(t) for t in tickets]
+        probs = [entry.batcher.wait(t) for t in tickets]
         with self._lock:
             self.stats.requests += len(tickets)
-        labels = self._labels(project_id)
-        if telemetry is not None:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            try:
-                self._emit_telemetry(
-                    telemetry, project_id, labels, rows, results,
-                    elapsed_ms / max(len(rows), 1),
-                )
-            except Exception:  # noqa: BLE001 - monitoring never breaks serving
-                with self._lock:
-                    self.telemetry_errors += 1
-        return [self._to_result(labels, probs) for probs in results]
+        return self._finish(project_id, rows, probs, start)
 
-    def _emit_telemetry(
-        self, telemetry, project_id: int, labels: list[str],
-        rows, probs_rows, latency_ms: float,
-    ) -> None:
-        emit_batch_telemetry(
-            telemetry, self.platform, project_id, labels, rows, probs_rows,
-            latency_ms, source=self.name,
-        )
+    def classify_coerced(self, project_id: int, entry: _CacheEntry, rows) -> list[dict]:
+        """Classify rows already validated by :func:`coerce_features`
+        against ``entry`` in one ``predict_proba`` call — the shard
+        pump's hook.  The pump has already batched the rows and owns the
+        request/batch counters, so neither the micro-batcher nor
+        ``stats.requests`` is involved."""
+        start = time.perf_counter()
+        probs = entry.model.predict_proba(np.stack(rows))
+        return self._finish(project_id, rows, probs, start)
+
+    def _finish(self, project_id: int, rows, probs, start: float) -> list[dict]:
+        labels = labels_of(self.platform.projects[project_id])
+        emit_served_telemetry(self, self._lock, project_id, labels, rows, probs, start)
+        return [to_result(labels, p) for p in probs]
 
     # -- observability -----------------------------------------------------
 
